@@ -70,7 +70,7 @@ fn run_verify() -> ! {
             v.guideline, v.preset, v.coll, v.config, v.m, v.detail
         );
     }
-    han_bench::report::save_json("verify", &report).ok();
+    han_bench::report::save_json("verify", &report);
     println!(
         "verify: {} checks, {} violation(s) -> results/verify.json",
         report.total_checks, report.total_violations

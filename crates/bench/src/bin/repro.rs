@@ -219,8 +219,9 @@ fn tuned_table(preset: &MachinePreset, label: &str) -> LookupTable {
     let mut space = SearchSpace::standard();
     space.msg_sizes = sizes(4, 128 << 20);
     let result = tune(preset, &space, &colls, Strategy::TaskBasedHeuristic);
-    std::fs::create_dir_all("results").ok();
-    result.table.save(&path).ok();
+    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| result.table.save(&path)) {
+        gate::fail(format!("could not write {}: {e}", path.display()));
+    }
     result.table
 }
 
@@ -266,7 +267,7 @@ fn fig2(_cfg: &Cfg) {
             ));
         }
     }
-    save_json("fig2", &out).ok();
+    save_json("fig2", &out);
 }
 
 /// Fig. 3: cost of sbib(i), i = 1..8, on one node leader — the
@@ -296,7 +297,7 @@ fn fig3(cfg: &Cfg) {
         }
     }
     println!("\n(columns are sbib(1) .. sbib(8); values stabilize after the first few)\n");
-    save_json("fig3", &out).ok();
+    save_json("fig3", &out);
 }
 
 /// Figs. 4/7 shared: model-estimated vs actual time across segment sizes
@@ -356,7 +357,7 @@ fn model_validation(cfg: &Cfg, coll: Coll, fig: &str) {
         us(achieved),
         100.0 * ta.as_ps() as f64 / achieved.as_ps() as f64
     );
-    save_json(fig, &out).ok();
+    save_json(fig, &out);
 }
 
 fn fig4(cfg: &Cfg) {
@@ -395,7 +396,7 @@ fn fig6(_cfg: &Cfg) {
         println!("### {name}\n{}", t.render());
         out.push((name.to_string(), ib.len()));
     }
-    save_json("fig6", &out).ok();
+    save_json("fig6", &out);
 }
 
 /// Fig. 8: total tuning time of the four strategies. `prune` bound-prunes
@@ -478,7 +479,7 @@ fn fig8(cfg: &Cfg, prune: bool) -> ([han_tuner::TuneResult; 4], Option<Arc<CostC
         );
     }
     cfg.persist_cache(cache.as_ref());
-    save_json("fig8", &out).ok();
+    save_json("fig8", &out);
     let results = results
         .try_into()
         .unwrap_or_else(|_| unreachable!("four strategies"));
@@ -542,7 +543,7 @@ fn fig9(cfg: &Cfg) {
         println!("### {}\n{}", coll.name(), t.render());
     }
     cfg.persist_cache(cache.as_ref());
-    save_json("fig9", &out).ok();
+    save_json("fig9", &out);
 }
 
 /// Shared driver for the four IMB comparison figures (10, 12, 13, 14).
@@ -605,7 +606,7 @@ fn imb_figure(
             )
         })
         .collect();
-    save_json(fig, &json).ok();
+    save_json(fig, &json);
 }
 
 fn fig10(cfg: &Cfg) {
@@ -642,7 +643,7 @@ fn fig11(_cfg: &Cfg) {
         out.push((o.bytes, o.bandwidth, c.bandwidth));
     }
     println!("{}", t.render());
-    save_json("fig11", &out).ok();
+    save_json("fig11", &out);
 }
 
 fn fig12(cfg: &Cfg) {
@@ -736,7 +737,7 @@ fn fig15(cfg: &Cfg) {
             100.0 * (h / o - 1.0)
         );
     }
-    save_json("fig15", &out).ok();
+    save_json("fig15", &out);
 }
 
 /// Table III: ASP on 1536 processes.
@@ -789,7 +790,7 @@ fn table3(cfg: &Cfg) {
         .iter()
         .map(|(n, r)| (n.clone(), r.total.as_ps(), r.comm.as_ps(), r.comm_ratio()))
         .collect();
-    save_json("table3", &json).ok();
+    save_json("table3", &json);
 }
 
 /// Ablation: HAN's cross-level pipelining (fs sweep up to "one segment").
@@ -928,7 +929,7 @@ fn verify(_cfg: &Cfg) {
             v.rel_slack
         );
     }
-    save_json("verify", &report).ok();
+    save_json("verify", &report);
     println!(
         "verify: {} presets, {} guidelines, {} checks, {} violation(s) \
          -> results/verify.json",
@@ -1049,7 +1050,7 @@ fn synth(cfg: &Cfg) {
         ));
     }
     println!("{}", t.render());
-    save_json("synth", &json).ok();
+    save_json("synth", &json);
     println!(
         "synth: {} presets, {total_points} pareto points, {total_wins} strict \
          synth-beats-menu win(s) -> results/synth.json",
@@ -1145,7 +1146,7 @@ fn hetero(_cfg: &Cfg) {
         rail_speedup
     );
 
-    save_json("hetero", &(&rows, rail_speedup)).ok();
+    save_json("hetero", &(&rows, rail_speedup));
     println!("hetero: {} rows -> results/hetero.json", rows.len());
 
     for (ci, coll) in colls.iter().enumerate() {
@@ -1180,18 +1181,25 @@ fn main() {
             gate::allow_clamped();
         } else if a == "--scale" {
             if let Some(v) = it.next() {
-                scale = if v == "mini" {
-                    Scale::Mini
-                } else {
-                    Scale::Paper
+                scale = match v.as_str() {
+                    "mini" => Scale::Mini,
+                    "paper" => Scale::Paper,
+                    other => {
+                        eprintln!("--scale must be mini or paper, got '{other}'");
+                        std::process::exit(2);
+                    }
                 };
             }
         } else if a == "--cache" {
             if let Some(v) = it.next() {
                 cache = match v.as_str() {
                     "off" => CacheMode::Off,
+                    "mem" => CacheMode::Mem,
                     "disk" => CacheMode::Disk,
-                    _ => CacheMode::Mem,
+                    other => {
+                        eprintln!("--cache must be off, mem or disk, got '{other}'");
+                        std::process::exit(2);
+                    }
                 };
             }
         } else if a == "--levels" {

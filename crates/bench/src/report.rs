@@ -77,14 +77,16 @@ pub fn size_label(bytes: u64) -> String {
 /// Persist a serializable result under `results/<name><suffix>.json`,
 /// where the suffix comes from [`set_result_suffix`] (e.g. `_d3` for
 /// three-level sweeps, so deep runs never clobber the two-level files).
-pub fn save_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<()> {
+/// A failed write is recorded on the exit gate ([`crate::gate::fail`]),
+/// naming the file, so the run ends with the gate's exit code.
+pub fn save_json<T: Serialize>(name: &str, value: &T) {
     let dir = Path::new("results");
-    std::fs::create_dir_all(dir)?;
     let suffix = RESULT_SUFFIX.lock().map(|s| s.clone()).unwrap_or_default();
-    std::fs::write(
-        dir.join(format!("{name}{suffix}.json")),
-        serde_json::to_string_pretty(value).expect("serialize"),
-    )
+    let path = dir.join(format!("{name}{suffix}.json"));
+    let text = serde_json::to_string_pretty(value).expect("serialize");
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, text)) {
+        crate::gate::fail(format!("could not write {}: {e}", path.display()));
+    }
 }
 
 static RESULT_SUFFIX: std::sync::Mutex<String> = std::sync::Mutex::new(String::new());

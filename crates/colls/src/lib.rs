@@ -52,7 +52,7 @@ pub mod vendor;
 pub use frontier::Frontier;
 pub use modules::{Adapt, InterAlg, InterModule, IntraModule, Libnbc, Sm, Solo};
 pub use stack::{BuildCtx, Coll, MpiStack};
-pub use template::{time_coll_templated, TemplateStats, TemplateStore};
+pub use template::{TemplateStats, TemplateStore};
 pub use tree::TreeShape;
 pub use tuned::TunedOpenMpi;
 pub use vendor::VendorMpi;

@@ -17,9 +17,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use han_machine::{Machine, MachinePreset};
-use han_mpi::{execute, ExecOpts, Program, ProgramTemplate};
-use han_sim::Time;
+use han_machine::MachinePreset;
+use han_mpi::{Program, ProgramTemplate};
 
 use crate::stack::{build_coll, Coll, MpiStack, Unsupported};
 
@@ -212,23 +211,4 @@ impl TemplateStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// [`crate::stack::time_coll_on`], but acquiring the program through a
-/// template store. `scratch` is reused across calls (see
-/// [`TemplateStore::build_into`]) — pass one per worker.
-#[allow(clippy::too_many_arguments)]
-pub fn time_coll_templated(
-    stack: &dyn MpiStack,
-    store: &TemplateStore,
-    machine: &mut Machine,
-    preset: &MachinePreset,
-    coll: Coll,
-    bytes: u64,
-    root: usize,
-    scratch: &mut Program,
-) -> Result<Time, Unsupported> {
-    store.build_into(stack, preset, coll, bytes, root, scratch)?;
-    let opts = ExecOpts::timing(stack.flavor().p2p());
-    Ok(execute(machine, scratch, &opts).makespan)
 }

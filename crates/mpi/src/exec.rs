@@ -216,23 +216,6 @@ pub fn execute(machine: &mut Machine, prog: &Program, opts: &ExecOpts) -> Report
     })
 }
 
-/// Execute in data mode and return the final memories as well.
-pub fn execute_with_memory(
-    machine: &mut Machine,
-    prog: &Program,
-    opts: &ExecOpts,
-) -> (Report, Memory) {
-    assert!(
-        opts.is_full(),
-        "execute_with_memory requires ExecMode::Full"
-    );
-    TLS_EXEC.with(|e| {
-        let mem = Memory::new(&prog.mem_size);
-        let (report, mem) = e.borrow_mut().run(machine, prog, opts, Some(mem));
-        (report, mem.expect("data mode produces memory"))
-    })
-}
-
 /// Execute with a closure that seeds initial memory contents (testing and
 /// correctness harnesses).
 pub fn execute_seeded(
@@ -588,19 +571,10 @@ impl Recording {
         &self.report
     }
 
-    /// Number of checkpoints kept (diagnostics).
-    pub fn checkpoint_count(&self) -> usize {
+    /// Number of checkpoints kept.
+    #[cfg(test)]
+    fn checkpoint_count(&self) -> usize {
         self.checkpoints.len()
-    }
-
-    /// Pop position of every op's `Ready` event (diagnostics).
-    pub fn ready_positions(&self) -> &[u64] {
-        &self.ready_pos
-    }
-
-    /// Pop positions of the retained checkpoints (diagnostics).
-    pub fn checkpoint_positions(&self) -> Vec<u64> {
-        self.checkpoints.iter().map(|c| c.pos).collect()
     }
 }
 
@@ -721,31 +695,6 @@ impl Executor {
         prog: &Program,
         opts: &ExecOpts,
     ) -> Recording {
-        self.run_recording(machine, prog, opts, true)
-    }
-
-    /// Like [`Executor::run_recorded`] but without checkpoints: only the
-    /// `Ready` pop positions are traced, so the run costs roughly the same
-    /// as a plain [`Executor::execute`]. The resulting [`Recording`] still
-    /// supports exact-match replay (identical program → free report) and
-    /// divergence detection; a partial replay simply finds no usable
-    /// checkpoint and [`Executor::run_delta`] returns `None`.
-    pub fn run_traced(
-        &mut self,
-        machine: &mut Machine,
-        prog: &Program,
-        opts: &ExecOpts,
-    ) -> Recording {
-        self.run_recording(machine, prog, opts, false)
-    }
-
-    fn run_recording(
-        &mut self,
-        machine: &mut Machine,
-        prog: &Program,
-        opts: &ExecOpts,
-        checkpoints: bool,
-    ) -> Recording {
         assert!(
             !opts.is_full() && opts.start_times.is_none(),
             "recording requires the timing-only fast path without start skew"
@@ -764,7 +713,7 @@ impl Executor {
             ready_pos: vec![u64::MAX; n],
             checkpoints: Vec::new(),
             interval,
-            next_mark: if checkpoints { interval } else { u64::MAX },
+            next_mark: interval,
         };
         let mut cx = Ctx {
             m: machine,
@@ -1831,38 +1780,6 @@ mod tests {
         assert_eq!(r.makespan, rec.report().makespan);
         assert_eq!(r.op_finishes(), rec.report().op_finishes());
         assert_eq!(r.events, rec.report().events);
-    }
-
-    /// A checkpoint-free trace still serves exact-match replay; a
-    /// scalar-divergent replay finds no checkpoint and returns `None`.
-    #[test]
-    fn traced_recording_serves_exact_match_only() {
-        let build = |tail_us: u64| {
-            let mut b = ProgramBuilder::new(1);
-            let mut prev = None;
-            for _ in 0..300u64 {
-                let deps: Vec<_> = prev.into_iter().collect();
-                prev = Some(b.delay(0, Time::from_ns(100), &deps));
-            }
-            b.delay(
-                0,
-                Time::from_us(tail_us),
-                &prev.into_iter().collect::<Vec<_>>(),
-            );
-            b.build()
-        };
-        let mut ex = Executor::new();
-        let mut m = machine(1, 1);
-        let rec = ex.run_traced(&mut m, &build(1), &opts());
-        assert_eq!(rec.checkpoint_count(), 0, "trace takes no checkpoints");
-        let exact = ex
-            .run_delta(&mut m, &build(1), &opts(), &rec)
-            .expect("identical program replays against a trace");
-        assert_eq!(exact.makespan, rec.report().makespan);
-        assert!(
-            ex.run_delta(&mut m, &build(2), &opts(), &rec).is_none(),
-            "partial replay needs checkpoints"
-        );
     }
 
     /// A long single-rank delay chain with one op's duration changed near

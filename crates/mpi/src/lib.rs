@@ -48,8 +48,8 @@ pub use builder::ProgramBuilder;
 pub use comm::Comm;
 pub use datatype::{DataType, ReduceOp};
 pub use exec::{
-    engine_totals, execute, execute_seeded, execute_with_memory, reset_engine_totals, ExecMode,
-    ExecOpts, Executor, Recording, Report,
+    engine_totals, execute, execute_seeded, reset_engine_totals, ExecMode, ExecOpts, Executor,
+    Recording, Report,
 };
 pub use program::{Op, OpId, OpKind, Program};
 pub use template::ProgramTemplate;

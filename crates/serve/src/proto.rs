@@ -26,6 +26,9 @@ pub const PROTO_VERSION: u64 = 1;
 /// prefixes, not a practical limit — a full lookup table is kilobytes.
 pub const MAX_FRAME: u32 = 64 << 20;
 
+/// Most bytes [`read_frame`] reserves before the payload arrives.
+const FRAME_PREALLOC: usize = 64 << 10;
+
 /// One decision query: which machine (by fingerprint), which collective,
 /// how many bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,8 +158,16 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Value>> {
             format!("frame length {len} exceeds limit"),
         ));
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
+    // Grow the buffer with the bytes that actually arrive: the length
+    // header is untrusted, so it alone must not reserve `MAX_FRAME`.
+    let mut buf = Vec::with_capacity((len as usize).min(FRAME_PREALLOC));
+    r.take(u64::from(len)).read_to_end(&mut buf)?;
+    if buf.len() < len as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("torn frame body: {} of {len} bytes", buf.len()),
+        ));
+    }
     let text = String::from_utf8(buf)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     let v = serde_json::from_str(&text)
@@ -571,6 +582,14 @@ mod tests {
         write_frame(&mut framed, &Value::UInt(7)).unwrap();
         framed.truncate(framed.len() - 1);
         assert!(read_frame(&mut framed.as_slice()).is_err());
+    }
+
+    #[test]
+    fn short_body_under_a_huge_header_is_an_error() {
+        let mut data = MAX_FRAME.to_be_bytes().to_vec();
+        data.extend_from_slice(&[b' '; 16]);
+        let err = read_frame(&mut data.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

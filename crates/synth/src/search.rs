@@ -21,13 +21,11 @@
 use crate::pareto::{pareto_front, Front, FrontPoint};
 use crate::space::{candidates, Candidate};
 use han_colls::stack::Unsupported;
-use han_colls::{Coll, MpiStack, TemplateStore};
-use han_core::{Han, HanConfig};
-use han_machine::{Machine, MachinePreset};
-use han_mpi::{execute, ExecOpts, Program};
+use han_colls::Coll;
+use han_core::HanConfig;
+use han_machine::MachinePreset;
 use han_sim::Time;
-use han_tuner::{lower_bound, DeltaSim, LookupTable, SearchSpace};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use han_tuner::{lower_bound, note_skip, par_groups, Evaluator, LookupTable, SearchSpace};
 
 /// Knobs for [`synthesize`].
 #[derive(Debug, Clone, Copy)]
@@ -124,28 +122,6 @@ impl SynthResult {
     }
 }
 
-/// Simulate one schedule, template-specialized and (optionally) served
-/// by delta re-simulation — bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-fn sim_cost(
-    machine: &mut Machine,
-    preset: &MachinePreset,
-    coll: Coll,
-    m: u64,
-    cfg: HanConfig,
-    templates: &TemplateStore,
-    scratch: &mut Program,
-    delta: Option<&mut DeltaSim>,
-) -> Result<Time, Unsupported> {
-    let han = Han::with_config(cfg);
-    let key = templates.build_into(&han, preset, coll, m, 0, scratch)?;
-    let opts = ExecOpts::timing(han.flavor().p2p());
-    Ok(match delta {
-        Some(ds) => ds.time(machine, scratch, &opts, key),
-        None => execute(machine, scratch, &opts).makespan,
-    })
-}
-
 struct GroupOut {
     samples: Vec<SynthSample>,
     pruned: u64,
@@ -153,16 +129,17 @@ struct GroupOut {
     skipped: Vec<Unsupported>,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Search one `(coll, m)` group: menu candidates in enumeration order,
+/// then the beam of extras cheapest-bound first (ties broken by index),
+/// each extra pruned when a simulated point strictly dominates its bound
+/// pair. The fixed visit order keeps the pruned set, and therefore the
+/// whole scan, deterministic.
 fn run_group(
-    machine: &mut Machine,
-    scratch: &mut Program,
+    eval: &mut Evaluator<'_>,
     preset: &MachinePreset,
     coll: Coll,
     m: u64,
     cands: &[Candidate],
-    templates: &TemplateStore,
-    mut delta: Option<&mut DeltaSim>,
     opts: &SynthOpts,
 ) -> GroupOut {
     let lat_m = m.min(opts.lat_probe).max(1);
@@ -172,15 +149,11 @@ fn run_group(
         beamed: 0,
         skipped: Vec::new(),
     };
-    // Menu candidates in enumeration order, then extras cheapest-bound
-    // first (ties broken by index) — the fixed visit order keeps the
-    // pruned set, and therefore the whole scan, deterministic.
-    let menu_idx: Vec<usize> = cands
+    let menu = cands
         .iter()
         .enumerate()
         .filter(|(_, c)| c.menu)
-        .map(|(i, _)| i)
-        .collect();
+        .map(|(i, c)| (lower_bound(preset, &c.cfg, coll, m), i));
     let mut extras: Vec<(Option<Time>, usize)> = cands
         .iter()
         .enumerate()
@@ -195,70 +168,10 @@ fn run_group(
 
     // Simulated (lat, bw) points — the dominance incumbents.
     let mut points: Vec<(Time, Time)> = Vec::new();
-    let simulate = |i: usize,
-                    bound_bw: Option<Time>,
-                    machine: &mut Machine,
-                    scratch: &mut Program,
-                    delta: Option<&mut DeltaSim>,
-                    out: &mut GroupOut,
-                    points: &mut Vec<(Time, Time)>| {
+    for (bound_bw, i) in menu.chain(extras) {
         let Candidate { cfg, menu } = cands[i];
-        let mut delta = delta;
-        let bw = match sim_cost(
-            machine,
-            preset,
-            coll,
-            m,
-            cfg,
-            templates,
-            scratch,
-            delta.as_deref_mut(),
-        ) {
-            Ok(t) => t,
-            Err(e) => {
-                note_skip(&mut out.skipped, e);
-                return;
-            }
-        };
-        let lat = if lat_m == m {
-            bw
-        } else {
-            match sim_cost(machine, preset, coll, lat_m, cfg, templates, scratch, delta) {
-                Ok(t) => t,
-                Err(e) => {
-                    note_skip(&mut out.skipped, e);
-                    return;
-                }
-            }
-        };
-        points.push((lat, bw));
-        out.samples.push(SynthSample {
-            coll,
-            m,
-            cfg,
-            menu,
-            lat,
-            bw,
-            bound_lat: lower_bound(preset, &cfg, coll, lat_m),
-            bound_bw,
-        });
-    };
-
-    for &i in &menu_idx {
-        let b = lower_bound(preset, &cands[i].cfg, coll, m);
-        simulate(
-            i,
-            b,
-            machine,
-            scratch,
-            delta.as_deref_mut(),
-            &mut out,
-            &mut points,
-        );
-    }
-    for &(bound_bw, i) in &extras {
-        if opts.prune {
-            let bound_lat = lower_bound(preset, &cands[i].cfg, coll, lat_m);
+        let bound_lat = lower_bound(preset, &cfg, coll, lat_m);
+        if opts.prune && !menu {
             if let (Some(bl), Some(bb)) = (bound_lat, bound_bw) {
                 if points.iter().any(|&(pl, pb)| pl < bl && pb < bb) {
                     out.pruned += 1;
@@ -266,32 +179,42 @@ fn run_group(
                 }
             }
         }
-        simulate(
-            i,
-            bound_bw,
-            machine,
-            scratch,
-            delta.as_deref_mut(),
-            &mut out,
-            &mut points,
-        );
+        let sim = |eval: &mut Evaluator<'_>| {
+            let bw = eval.cost(cfg, coll, m)?;
+            let lat = if lat_m == m {
+                bw
+            } else {
+                eval.cost(cfg, coll, lat_m)?
+            };
+            Ok((lat, bw))
+        };
+        match sim(eval) {
+            Ok((lat, bw)) => {
+                points.push((lat, bw));
+                out.samples.push(SynthSample {
+                    coll,
+                    m,
+                    cfg,
+                    menu,
+                    lat,
+                    bw,
+                    bound_lat,
+                    bound_bw,
+                });
+            }
+            Err(e) => note_skip(&mut out.skipped, e),
+        }
     }
     out
-}
-
-fn note_skip(skipped: &mut Vec<Unsupported>, e: Unsupported) {
-    if !skipped.contains(&e) {
-        skipped.push(e);
-    }
 }
 
 /// Synthesize schedules for every `(coll, m)` group of `space`,
 /// returning the per-group Pareto fronts plus every simulated sample.
 ///
-/// Parallelism is work-stealing over groups with per-worker simulator
-/// state and an index-keyed merge (the [`han_tuner`] sweep pattern), so
-/// the result is bit-identical for any worker count, with and without
-/// delta re-simulation, and with pruning on or off.
+/// The groups run through the shared sweep engine
+/// ([`han_tuner::par_groups`]) under this crate's per-group policy, so the
+/// result is bit-identical for any worker count, with and without delta
+/// re-simulation, and with pruning on or off.
 pub fn synthesize(
     preset: &MachinePreset,
     space: &SearchSpace,
@@ -304,68 +227,14 @@ pub fn synthesize(
             groups.push((coll, m, candidates(space, preset, coll, m)));
         }
     }
-    let workers = opts
-        .workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        })
-        .min(groups.len().max(1))
-        .max(1);
-
-    let templates = TemplateStore::new();
-    let delta_bases = DeltaSim::shared_bases();
-    let next = AtomicUsize::new(0);
-    let mut outcomes: Vec<GroupOut> = Vec::with_capacity(groups.len());
-    std::thread::scope(|s| {
-        let groups = &groups;
-        let next = &next;
-        let templates = &templates;
-        let delta_bases = &delta_bases;
-        let opts = &opts;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut machine = Machine::from_preset(preset);
-                    let mut scratch = Program::default();
-                    let mut ds = opts
-                        .delta
-                        .then(|| DeltaSim::with_shared(delta_bases.clone()));
-                    let mut out: Vec<(usize, GroupOut)> = Vec::new();
-                    loop {
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        if g >= groups.len() {
-                            break;
-                        }
-                        let (coll, m, cands) = &groups[g];
-                        out.push((
-                            g,
-                            run_group(
-                                &mut machine,
-                                &mut scratch,
-                                preset,
-                                *coll,
-                                *m,
-                                cands,
-                                templates,
-                                ds.as_mut(),
-                                opts,
-                            ),
-                        ));
-                    }
-                    out
-                })
-            })
-            .collect();
-        let mut merged: Vec<Option<GroupOut>> = (0..groups.len()).map(|_| None).collect();
-        for h in handles {
-            for (g, r) in h.join().unwrap() {
-                merged[g] = Some(r);
-            }
-        }
-        outcomes.extend(merged.into_iter().map(|r| r.expect("every group ran")));
-    });
+    let outcomes = par_groups(
+        preset,
+        &groups,
+        opts.workers,
+        opts.delta,
+        None,
+        |eval, (coll, m, cands)| run_group(eval, preset, *coll, *m, cands, &opts),
+    );
 
     let candidates_total = groups.iter().map(|(_, _, c)| c.len() as u64).sum();
     let mut result = SynthResult {

@@ -21,6 +21,9 @@
 //!   paper's introduction makes.
 //! * [`search`] — the four tuning strategies of Figs. 8/9: exhaustive,
 //!   exhaustive+heuristics, task-based (HAN), task-based+heuristics.
+//! * [`eval`] — the sweep engine shared by exhaustive search and
+//!   `han-synth`: one per-worker evaluation path ([`Evaluator`]) and one
+//!   work-stealing group driver ([`par_groups`]).
 //! * [`heuristics`] — the pruning rules of section III-C (SOLO only above
 //!   512 KB segments; chain only with enough segments).
 //! * [`table`]/[`decision`] — the lookup table (tuning output) and its
@@ -40,6 +43,7 @@ pub mod bound;
 pub mod cache;
 pub mod calibrate;
 pub mod delta;
+pub mod eval;
 pub mod heuristics;
 pub mod model;
 pub mod search;
@@ -54,6 +58,7 @@ pub use bound::lower_bound;
 pub use cache::{preset_fingerprint, CostCache};
 pub use decision::DecisionTree;
 pub use delta::{structural_fingerprint, DeltaSim, DeltaStats, SharedBases};
+pub use eval::{note_skip, par_groups, Evaluator};
 pub use resolve::Resolution;
 pub use search::{
     achieved_latency, achieved_latency_with_cache, candidate_costs, tune, tune_with_cache,

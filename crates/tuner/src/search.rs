@@ -15,19 +15,15 @@
 
 use crate::bound::lower_bound;
 use crate::cache::CostCache;
-use crate::delta::DeltaSim;
+use crate::eval::{note_skip, par_groups, Evaluator};
 use crate::model::predict;
 use crate::space::SearchSpace;
 use crate::table::LookupTable;
 use crate::taskbench::{TaskBench, BENCH_ITERS};
 use han_colls::stack::{time_coll_on, Coll, Unsupported};
-use han_colls::template::{time_coll_templated, TemplateStore};
-use han_colls::MpiStack;
 use han_core::{Han, HanConfig};
 use han_machine::{Machine, MachinePreset};
-use han_mpi::{ExecOpts, Program};
 use han_sim::Time;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Tuning strategy selector.
@@ -114,12 +110,6 @@ impl Default for TuneOpts {
     }
 }
 
-fn note_skip(skipped: &mut Vec<Unsupported>, e: Unsupported) {
-    if !skipped.contains(&e) {
-        skipped.push(e);
-    }
-}
-
 /// Run autotuning over `space` for the given collectives.
 pub fn tune(
     preset: &MachinePreset,
@@ -161,51 +151,16 @@ pub fn tune_with_opts(
     }
 }
 
-/// Simulate (or recall) the latency of one HAN collective configuration.
-/// Sweeps pass a [`TemplateStore`] plus a worker-local scratch program so
-/// repeated shapes specialize an interned template into reused allocations
-/// instead of rebuilding the DAG, and optionally a worker-local
-/// [`DeltaSim`] so structurally identical candidates replay their shared
-/// event prefix instead of re-simulating from scratch — bit-identical
-/// results either way.
-#[allow(clippy::too_many_arguments)]
-fn coll_cost(
-    machine: &mut Machine,
-    preset: &MachinePreset,
-    coll: Coll,
-    m: u64,
-    cfg: HanConfig,
-    cache: Option<&CostCache>,
-    templates: Option<(&TemplateStore, &mut Program)>,
-    delta: Option<&mut DeltaSim>,
-) -> Result<Time, Unsupported> {
-    if let Some(t) = cache.and_then(|c| c.lookup_coll(coll, &cfg, m)) {
-        return Ok(t);
-    }
-    let han = Han::with_config(cfg);
-    let t = match (templates, delta) {
-        (Some((store, scratch)), Some(ds)) => {
-            let key = store.build_into(&han, preset, coll, m, 0, scratch)?;
-            let opts = ExecOpts::timing(han.flavor().p2p());
-            ds.time(machine, scratch, &opts, key)
-        }
-        (Some((store, scratch)), None) => {
-            time_coll_templated(&han, store, machine, preset, coll, m, 0, scratch)?
-        }
-        (None, _) => time_coll_on(&han, machine, preset, coll, m, 0)?,
-    };
-    if let Some(c) = cache {
-        c.record_coll(coll, &cfg, m, t);
-    }
-    Ok(t)
-}
-
 /// Per-config outcome within one `(coll, m)` group.
 enum Outcome {
     Cost(Result<Time, Unsupported>),
     Pruned,
 }
 
+/// Exhaustive search: every `(coll, m)` group's candidates run through
+/// the shared sweep engine ([`par_groups`]) under the [`run_group`]
+/// policy, then each group's winner is its first minimum in enumeration
+/// order.
 fn tune_exhaustive(
     preset: &MachinePreset,
     space: &SearchSpace,
@@ -214,22 +169,6 @@ fn tune_exhaustive(
     cache: Option<Arc<CostCache>>,
     opts: TuneOpts,
 ) -> TuneResult {
-    let mut table = LookupTable::for_topology(&preset.topology);
-    let mut tuning_time = Time::ZERO;
-    let mut searches = 0u64;
-    let mut pruned = 0u64;
-    let mut skipped: Vec<Unsupported> = Vec::new();
-
-    // Enumerate every `(coll, m)` group with its candidate configs up
-    // front, in deterministic order. Parallelism is work-stealing over
-    // *groups* via an atomic cursor: large message sizes cost orders of
-    // magnitude more than small ones, so static striping load-imbalances
-    // badly. Within a group, candidates run sequentially in ascending
-    // `(lower bound, enumeration index)` order against a running
-    // incumbent, so bound pruning is deterministic — the visit order, and
-    // therefore the pruned set, never depends on worker count or
-    // completion timing. Results are merged by group index, making the
-    // whole sweep bit-identical to a sequential one.
     let mut groups: Vec<(Coll, u64, Vec<HanConfig>)> = Vec::new();
     for &coll in colls {
         for &m in &space.msg_sizes {
@@ -237,120 +176,55 @@ fn tune_exhaustive(
             groups.push((coll, m, cfgs));
         }
     }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(groups.len().max(1));
+    let outcomes = par_groups(
+        preset,
+        &groups,
+        None,
+        opts.delta,
+        cache.as_deref(),
+        |eval, (coll, m, cfgs)| run_group(eval, preset, *coll, *m, cfgs, opts.prune),
+    );
 
-    // Shared template store: every worker re-stamps interned program
-    // shapes instead of cold-building (results are bit-identical).
-    let templates = TemplateStore::new();
-    // Shared delta bases: structurally identical candidates usually sit
-    // in different `(coll, m)` groups (same config, neighbouring message
-    // sizes), which the cursor hands to different workers — sharing the
-    // recordings is what lets one worker's base serve another's replay.
-    let delta_bases = DeltaSim::shared_bases();
-    let next = AtomicUsize::new(0);
-    let mut outcomes: Vec<Vec<Outcome>> = Vec::with_capacity(groups.len());
-    std::thread::scope(|s| {
-        let groups = &groups;
-        let next = &next;
-        let cache = cache.as_deref();
-        let templates = &templates;
-        let delta_bases = &delta_bases;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    // One machine, one scratch program, and (when enabled)
-                    // one delta-resimulation context per worker; the
-                    // machine is reset between jobs by the executor, the
-                    // scratch's allocations are reused by specialization,
-                    // and the DeltaSims pool their recorded bases in the
-                    // shared cache so replays work across groups and
-                    // workers.
-                    let mut machine = Machine::from_preset(preset);
-                    let mut scratch = Program::default();
-                    let mut ds = if opts.delta {
-                        Some(DeltaSim::with_shared(delta_bases.clone()))
-                    } else {
-                        None
-                    };
-                    let mut out: Vec<(usize, Vec<Outcome>)> = Vec::new();
-                    loop {
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        if g >= groups.len() {
-                            break;
-                        }
-                        let (coll, m, cfgs) = &groups[g];
-                        out.push((
-                            g,
-                            run_group(
-                                &mut machine,
-                                &mut scratch,
-                                preset,
-                                *coll,
-                                *m,
-                                cfgs,
-                                cache,
-                                templates,
-                                ds.as_mut(),
-                                opts,
-                            ),
-                        ));
-                    }
-                    out
-                })
-            })
-            .collect();
-        let mut merged: Vec<Option<Vec<Outcome>>> = (0..groups.len()).map(|_| None).collect();
-        for h in handles {
-            for (g, r) in h.join().unwrap() {
-                merged[g] = Some(r);
-            }
-        }
-        outcomes.extend(merged.into_iter().map(|r| r.expect("every group ran")));
-    });
-
-    let mut samples = Vec::new();
-    for ((coll, m, cfgs), results) in groups.iter().zip(&outcomes) {
-        for (cfg, r) in cfgs.iter().zip(results) {
+    let mut result = TuneResult {
+        strategy,
+        table: LookupTable::for_topology(&preset.topology),
+        tuning_time: Time::ZERO,
+        searches: 0,
+        samples: Vec::new(),
+        skipped: Vec::new(),
+        pruned: 0,
+    };
+    for ((coll, m, cfgs), outcomes) in groups.iter().zip(outcomes) {
+        let mut best: Option<(HanConfig, Time)> = None;
+        for (cfg, r) in cfgs.iter().zip(outcomes) {
             match r {
                 Outcome::Cost(Ok(t)) => {
-                    tuning_time += *t * BENCH_ITERS;
-                    searches += 1;
-                    samples.push((*coll, *m, *cfg, *t));
+                    result.tuning_time += t * BENCH_ITERS;
+                    result.searches += 1;
+                    result.samples.push((*coll, *m, *cfg, t));
+                    if best.map_or(true, |(_, bt)| t < bt) {
+                        best = Some((*cfg, t));
+                    }
                 }
-                Outcome::Cost(Err(e)) => note_skip(&mut skipped, e.clone()),
-                Outcome::Pruned => pruned += 1,
+                Outcome::Cost(Err(e)) => note_skip(&mut result.skipped, e),
+                Outcome::Pruned => result.pruned += 1,
             }
         }
-    }
-
-    for &coll in colls {
-        for &m in &space.msg_sizes {
-            if let Some((_, _, cfg, cost)) = samples
-                .iter()
-                .filter(|(c, mm, _, _)| *c == coll && *mm == m)
-                .min_by_key(|(_, _, _, t)| *t)
-            {
-                table.insert(coll, m, *cfg, *cost);
-            }
+        if let Some((cfg, cost)) = best {
+            result.table.insert(*coll, *m, cfg, cost);
         }
     }
-
-    TuneResult {
-        strategy,
-        table,
-        tuning_time,
-        searches,
-        samples,
-        skipped,
-        pruned,
-    }
+    result
 }
 
 /// Benchmark one `(coll, m)` group, optionally pruning candidates whose
-/// analytic lower bound exceeds the incumbent best.
+/// analytic lower bound exceeds the incumbent best. Outcomes come back in
+/// enumeration order.
+///
+/// Candidates run in ascending `(lower bound, enumeration index)` order
+/// against a running incumbent: tight early incumbents maximize later
+/// prunes, and the fixed key makes the pruned set independent of worker
+/// count and completion timing.
 ///
 /// Soundness of the winner set: the true optimum `c*` has
 /// `bound(c*) ≤ cost(c*) ≤ incumbent` at every point of the scan, so it is
@@ -359,25 +233,18 @@ fn tune_exhaustive(
 /// tie. The surviving minimum — and, because candidates keep their
 /// enumeration order in the output, the tie-broken winner — is identical
 /// to the unpruned sweep's.
-#[allow(clippy::too_many_arguments)]
 fn run_group(
-    machine: &mut Machine,
-    scratch: &mut Program,
+    eval: &mut Evaluator<'_>,
     preset: &MachinePreset,
     coll: Coll,
     m: u64,
     cfgs: &[HanConfig],
-    cache: Option<&CostCache>,
-    templates: &TemplateStore,
-    mut delta: Option<&mut DeltaSim>,
-    opts: TuneOpts,
+    prune: bool,
 ) -> Vec<Outcome> {
-    // Visit candidates cheapest-bound-first: tight early incumbents
-    // maximize later prunes, and the fixed `(bound, index)` key keeps the
-    // scan deterministic. Without pruning the visit order is irrelevant
-    // (results are keyed by index), so skip the bound computation
-    // entirely — it would be pure overhead on warm-cache sweeps.
-    let order: Vec<(Option<Time>, usize)> = if opts.prune {
+    // Without pruning the visit order is irrelevant (results are keyed by
+    // index), so skip the bound computation entirely — it would be pure
+    // overhead on warm-cache sweeps.
+    let order: Vec<(Option<Time>, usize)> = if prune {
         let mut order: Vec<(Option<Time>, usize)> = cfgs
             .iter()
             .enumerate()
@@ -392,24 +259,13 @@ fn run_group(
     let mut results: Vec<Option<Outcome>> = (0..cfgs.len()).map(|_| None).collect();
     let mut incumbent: Option<Time> = None;
     for (bound, i) in order {
-        if opts.prune {
-            if let (Some(b), Some(inc)) = (bound, incumbent) {
-                if b > inc {
-                    results[i] = Some(Outcome::Pruned);
-                    continue;
-                }
+        if let (Some(b), Some(inc)) = (bound, incumbent) {
+            if b > inc {
+                results[i] = Some(Outcome::Pruned);
+                continue;
             }
         }
-        let r = coll_cost(
-            machine,
-            preset,
-            coll,
-            m,
-            cfgs[i],
-            cache,
-            Some((templates, &mut *scratch)),
-            delta.as_deref_mut(),
-        );
+        let r = eval.cost(cfgs[i], coll, m);
         if let Ok(t) = &r {
             incumbent = Some(incumbent.map_or(*t, |inc| inc.min(*t)));
         }
@@ -486,7 +342,7 @@ pub fn candidate_costs(
         .configs_for(m, &preset.topology, heuristic)
         .into_iter()
         .map(|cfg| {
-            let r = coll_cost(&mut machine, preset, coll, m, cfg, None, None, None);
+            let r = time_coll_on(&Han::with_config(cfg), &mut machine, preset, coll, m, 0);
             (cfg, r)
         })
         .collect()
@@ -514,10 +370,15 @@ pub fn achieved_latency_with_cache(
     cache: Option<&CostCache>,
 ) -> Result<Time, Unsupported> {
     let cfg = table.nearest(coll, m).map(|e| e.cfg).unwrap_or_default();
-    let han = Han::with_config(cfg);
-    let _ = han.name();
+    if let Some(t) = cache.and_then(|c| c.lookup_coll(coll, &cfg, m)) {
+        return Ok(t);
+    }
     let mut machine = Machine::from_preset(preset);
-    coll_cost(&mut machine, preset, coll, m, cfg, cache, None, None)
+    let t = time_coll_on(&Han::with_config(cfg), &mut machine, preset, coll, m, 0)?;
+    if let Some(c) = cache {
+        c.record_coll(coll, &cfg, m, t);
+    }
+    Ok(t)
 }
 
 #[cfg(test)]
